@@ -55,31 +55,36 @@ func main() {
 	queue := flag.Int("queue", 0, "max queued query computations before 503 (0 = 1024)")
 	jobs := flag.Int("j", 0, "sweep worker pool size per computation (0 = GOMAXPROCS)")
 	fastpathFlag := flag.String("fastpath", "on", "analytic fast path for contention-free simulations: off, on, or verify")
-	shards := flag.Int("shards", 1, "event-queue shards per simulation engine")
 	accessLog := flag.String("access-log", "-", "JSON access-log destination: '-' = stdout, '' = disabled, else a file path (appended)")
 	pprofFlag := flag.Bool("pprof", false, "expose /debug/pprof/ runtime profiling endpoints")
 	timeline := flag.String("timeline", "", "record per-request wall-clock spans and write a Chrome trace_event timeline here at shutdown")
 	flag.Parse()
 
 	if err := run(*addr, *models, *builtin, *builtinNP, *warm, *inflight, *queue,
-		*jobs, *fastpathFlag, *shards, *accessLog, *pprofFlag, *timeline); err != nil {
+		*jobs, *fastpathFlag, *accessLog, *pprofFlag, *timeline); err != nil {
 		fmt.Fprintf(os.Stderr, "iod: %v\n", err)
 		os.Exit(1)
 	}
 }
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers. Without it a client that never finishes them holds a
+// connection open forever.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer builds the listener's http.Server around handler.
+func newHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: handler, ReadHeaderTimeout: readHeaderTimeout}
+}
+
 func run(addr, models string, builtin bool, builtinNP int, warm bool,
-	inflight, queue, jobs int, fastpathFlag string, shards int,
+	inflight, queue, jobs int, fastpathFlag string,
 	accessLog string, pprofFlag bool, timeline string) error {
 	fpMode, err := iophases.ParseFastPath(fastpathFlag)
 	if err != nil {
 		return err
 	}
 	iophases.SetFastPath(fpMode)
-	if shards < 1 {
-		return fmt.Errorf("-shards %d: shard count must be >= 1", shards)
-	}
-	iophases.SetShards(shards)
 	sweep.SetConcurrency(jobs)
 	// The /metrics endpoint reads the always-on default registry; the hot
 	// simulation registry and the timeline recorder stay off unless span
@@ -117,7 +122,7 @@ func run(addr, models string, builtin bool, builtinNP int, warm bool,
 	fmt.Fprintf(os.Stderr, "iod: serving %d model(s) [%s] on http://%s (fastpath=%s, pprof=%v)\n",
 		len(corpus), strings.Join(srv.ModelNames(), ", "), addr, fastpathFlag, pprofFlag)
 
-	hs := &http.Server{Addr: addr, Handler: srv.Handler()}
+	hs := newHTTPServer(addr, srv.Handler())
 
 	// Warm in the background so the listener (and /healthz) come up
 	// immediately; /readyz flips once the cache holds every (model,

@@ -73,6 +73,9 @@ func TestModelPerFile(t *testing.T) {
 	p := Upwelling()
 	set := runTraced(t, 4, p)
 	m := core.Build(set)
+	if err := m.Validate(); err != nil {
+		t.Fatalf("extracted model fails Validate: %v", err)
+	}
 	filesWithPhases := map[int]int{}
 	for _, pm := range m.Phases {
 		filesWithPhases[pm.File]++

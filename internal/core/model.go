@@ -429,7 +429,48 @@ func Load(path string) (*Model, error) {
 	if err := json.Unmarshal(raw, &m); err != nil {
 		return nil, fmt.Errorf("core: %s: %v", path, err)
 	}
+	if err := m.Validate(); err != nil {
+		return nil, fmt.Errorf("core: %s: %v", path, err)
+	}
 	return &m, nil
+}
+
+// Validate reports the first structural defect that would make the model
+// unreplayable: a non-positive process count, a phase without ops, a
+// non-positive request size or repetition count, or a phase naming a file
+// the model does not describe. Extraction never builds such a model; a
+// hand-edited JSON file can, and replaying it would panic or mislead.
+func (m *Model) Validate() error {
+	if m.NP <= 0 {
+		return fmt.Errorf("np %d: must be positive", m.NP)
+	}
+	files := make(map[int]bool, len(m.Files))
+	for _, f := range m.Files {
+		files[f.ID] = true
+	}
+	for i, pm := range m.Phases {
+		if pm == nil {
+			return fmt.Errorf("phase #%d: null", i)
+		}
+		if pm.NP <= 0 {
+			return fmt.Errorf("phase %d: np %d: must be positive", pm.ID, pm.NP)
+		}
+		if len(pm.Ops) == 0 {
+			return fmt.Errorf("phase %d: no ops", pm.ID)
+		}
+		for j, op := range pm.Ops {
+			if op.Size <= 0 {
+				return fmt.Errorf("phase %d: op %d: size %d: must be positive", pm.ID, j, op.Size)
+			}
+		}
+		if pm.Rep <= 0 {
+			return fmt.Errorf("phase %d: rep %d: must be positive", pm.ID, pm.Rep)
+		}
+		if !files[pm.File] {
+			return fmt.Errorf("phase %d: file %d: not in files", pm.ID, pm.File)
+		}
+	}
+	return nil
 }
 
 // String renders the model in the descriptive style of Figures 7, 9, 10:

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"iophases/internal/apps/btio"
@@ -22,7 +24,17 @@ func traceMadbench(t *testing.T, spec cluster.Spec, np int, rs int64) *Model {
 	res := runner.Run(spec, np, "madbench2", func(sys *mpiio.System) func(*mpi.Rank) {
 		return madbench.Program(sys, params)
 	}, runner.Options{Trace: true})
-	return Build(res.Set)
+	return mustValidate(t, Build(res.Set))
+}
+
+// mustValidate fails the test unless the extracted model passes Validate:
+// extraction must never build a model that Load would reject.
+func mustValidate(t *testing.T, m *Model) *Model {
+	t.Helper()
+	if err := m.Validate(); err != nil {
+		t.Fatalf("extracted model fails Validate: %v", err)
+	}
+	return m
 }
 
 func TestMadbenchModelMatchesTableVIII(t *testing.T) {
@@ -69,7 +81,7 @@ func TestBTIOModelMatchesTableXI(t *testing.T) {
 	res := runner.Run(cluster.ConfigA(), np, "btio", func(sys *mpiio.System) func(*mpi.Rank) {
 		return btio.Program(sys, params)
 	}, runner.Options{Trace: true})
-	m := Build(res.Set)
+	m := mustValidate(t, Build(res.Set))
 
 	dumps := btio.ClassW.Dumps()
 	rs := btio.ClassW.RS(np)
@@ -133,6 +145,65 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 	}
 	if !got.SameShape(m) {
 		t.Fatal("round trip changed the model")
+	}
+}
+
+// TestLoadRejectsInvalidModels hand-edits a saved MADBench2 model into
+// each shape Validate rejects; Load must return an error naming the
+// defect instead of handing the CLIs a model that panics or misleads.
+func TestLoadRejectsInvalidModels(t *testing.T) {
+	base := traceMadbench(t, cluster.ConfigA(), 4, units.MiB)
+	dir := t.TempDir()
+	basePath := filepath.Join(dir, "base.json")
+	if err := base.Save(basePath); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name, want string
+		edit       func(m *Model)
+	}{
+		{"np zero", "np 0", func(m *Model) { m.NP = 0 }},
+		{"np negative", "np -4", func(m *Model) { m.NP = -4 }},
+		{"phase np zero", "np 0", func(m *Model) { m.Phases[0].NP = 0 }},
+		{"no ops", "no ops", func(m *Model) { m.Phases[0].Ops = []OpModel{} }},
+		{"size zero", "size 0", func(m *Model) { m.Phases[1].Ops[0].Size = 0 }},
+		{"size negative", "size -1", func(m *Model) { m.Phases[0].Ops[0].Size = -1 }},
+		{"rep negative", "rep -3", func(m *Model) { m.Phases[0].Rep = -3 }},
+		{"rep zero", "rep 0", func(m *Model) { m.Phases[2].Rep = 0 }},
+		{"unknown file", "file 99", func(m *Model) { m.Phases[0].File = 99 }},
+		{"no files", "not in files", func(m *Model) { m.Files = nil }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := Load(basePath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.edit(m)
+			if err := m.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Validate = %v, want error containing %q", err, tc.want)
+			}
+			path := filepath.Join(dir, strings.ReplaceAll(tc.name, " ", "_")+".json")
+			if err := m.Save(path); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Load(path); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Load = %v, want error containing %q", err, tc.want)
+			}
+		})
+	}
+	// A null phase entry decodes to a nil pointer; it is rejected too.
+	raw, err := os.ReadFile(basePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nullPhase := strings.Replace(string(raw), `"phases": [`, `"phases": [null,`, 1)
+	path := filepath.Join(dir, "null_phase.json")
+	if err := os.WriteFile(path, []byte(nullPhase), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "null") {
+		t.Fatalf("Load with null phase = %v", err)
 	}
 }
 

@@ -17,7 +17,7 @@ func traceBTIOModel(t *testing.T, np int, class btio.Class) *Model {
 	res := runner.Run(cluster.ConfigA(), np, "btio", func(sys *mpiio.System) func(*mpi.Rank) {
 		return btio.Program(sys, params)
 	}, runner.Options{Trace: true})
-	return Build(res.Set)
+	return mustValidate(t, Build(res.Set))
 }
 
 // TestRescaleMatchesActualTrace is the headline: the 4-process BT-IO model
@@ -28,6 +28,7 @@ func TestRescaleMatchesActualTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mustValidate(t, m16)
 	actual := traceBTIOModel(t, 16, btio.ClassW)
 	if m16.NP != 16 || len(m16.Phases) != len(actual.Phases) {
 		t.Fatalf("shape: np=%d phases=%d", m16.NP, len(m16.Phases))

@@ -110,6 +110,108 @@ func TestQuickElisionInvariance(t *testing.T) {
 	}
 }
 
+// mixedTrace runs a pseudo-random workload derived from seed and records
+// every observable step as (proc, virtual time) pairs plus the final clock.
+// The workload mixes the engine's whole surface — sleeps (elidable and
+// tied), callbacks scheduled from proc context, yields, a contended
+// resource, and a rendezvous mailbox.
+func mixedTrace(seed uint64) ([]string, units.Duration) {
+	e := NewEngine()
+	rng := seed
+	next := func(n uint64) uint64 { // xorshift64, deterministic across runs
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng % n
+	}
+	var tr []string
+	note := func(who string, at units.Duration) {
+		tr = append(tr, fmt.Sprintf("%s@%d", who, at))
+	}
+	res := NewResource(e, "res", 2)
+	mbox := NewMailbox(e, "mb", 1)
+	np := int(2 + next(5))
+	for i := 0; i < np; i++ {
+		i := i
+		steps := int(3 + next(6))
+		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+			for s := 0; s < steps; s++ {
+				switch next(5) {
+				case 0:
+					p.Sleep(units.Duration(next(200)) * units.Microsecond)
+				case 1:
+					d := units.Duration(next(100)) * units.Microsecond
+					e.Schedule(d, func() { note(fmt.Sprintf("cb%d", i), e.Now()) })
+				case 2:
+					res.Acquire(p, 1)
+					p.Sleep(units.Duration(10+next(40)) * units.Microsecond)
+					res.Release(1)
+				case 3:
+					p.Yield()
+				case 4:
+					if i%2 == 0 {
+						mbox.Put(p, i)
+					} else {
+						mbox.Get(p)
+					}
+				}
+				note(fmt.Sprintf("p%d.%d", i, s), p.Now())
+			}
+		})
+	}
+	// Mailbox puts and gets may be unbalanced; a harvester unsticks any
+	// party still parked once the queue drains, so the run terminates for
+	// every seed.
+	e.Spawn("harvest", func(p *Proc) {
+		for {
+			p.Sleep(units.Second)
+			if e.Pending() > 0 {
+				continue // still making progress
+			}
+			if len(e.live) <= 1 {
+				return // only the harvester remains
+			}
+			mbox.promoteAll()
+		}
+	})
+	e.Run()
+	return tr, e.Now()
+}
+
+// promoteAll unblocks every parked mailbox party (test-only: the harvester
+// uses it to guarantee the random workload terminates).
+func (m *Mailbox) promoteAll() {
+	for len(m.putters) > 0 {
+		m.promotePutter()
+	}
+	for len(m.getters) > 0 {
+		g := m.getters[0]
+		m.getters = m.getters[1:]
+		m.items = append(m.items, len(m.items))
+		m.eng.scheduleResume(0, g)
+	}
+}
+
+// TestQuickElisionInvarianceMixed extends the elision contract from pure
+// sleeps to the engine's whole surface: for random mixed workloads the
+// event trace and final clock are identical with elision on and off.
+func TestQuickElisionInvarianceMixed(t *testing.T) {
+	prop := func(seed uint64) bool {
+		fast, fastEnd := mixedTrace(seed)
+		elisionDisabled = true
+		slow, slowEnd := mixedTrace(seed)
+		elisionDisabled = false
+		if fastEnd != slowEnd || !reflect.DeepEqual(fast, slow) {
+			t.Logf("seed %d: end %v vs %v, trace %v vs %v", seed, fastEnd, slowEnd, fast, slow)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestElisionRespectsRunUntil pins the deadline guard: a sleep that would
 // elide past a RunUntil deadline must park instead, so the engine stops
 // exactly at the boundary with the resume still queued.

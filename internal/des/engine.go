@@ -121,17 +121,6 @@ type Engine struct {
 	// devices fetch it once at construction, so the no-faults service
 	// path pays a single nil check.
 	faultCtx any
-
-	// Sharded-queue state (see shard.go). nshards is 0 on the classic
-	// single-queue engine, so every hot path gates sharding behind one
-	// always-false comparison; curShard is the shard whose event is
-	// currently firing and therefore the affinity new work inherits.
-	nshards   int
-	shardQ    []eventQueue
-	curShard  int
-	lookahead units.Duration
-	horizon   units.Duration
-	windows   uint64
 }
 
 // SetFaultCtx installs the engine's fault-injection context. Called once
@@ -219,11 +208,7 @@ func (e *Engine) canElide(target units.Duration) bool {
 	if elisionDisabled {
 		return false
 	}
-	if e.nshards > 1 {
-		if at, ok := e.minPendingAt(); ok && at <= target {
-			return false
-		}
-	} else if len(e.queue) > 0 && e.queue[0].at <= target {
+	if len(e.queue) > 0 && e.queue[0].at <= target {
 		return false
 	}
 	return !e.limited || target <= e.limit
@@ -236,10 +221,6 @@ func (e *Engine) Schedule(delay units.Duration, fn func()) {
 		panic(fmt.Sprintf("des: negative delay %v", delay))
 	}
 	e.seq++
-	if e.nshards > 1 {
-		e.pushShard(e.curShard, event{at: e.now + delay, seq: e.seq, fn: fn})
-		return
-	}
 	e.queue.push(event{at: e.now + delay, seq: e.seq, fn: fn})
 	e.met.noteScheduled(len(e.queue))
 }
@@ -251,10 +232,6 @@ func (e *Engine) scheduleResume(delay units.Duration, p *Proc) {
 		panic(fmt.Sprintf("des: negative delay %v", delay))
 	}
 	e.seq++
-	if e.nshards > 1 {
-		e.pushShard(p.shard, event{at: e.now + delay, seq: e.seq, proc: p})
-		return
-	}
 	e.queue.push(event{at: e.now + delay, seq: e.seq, proc: p})
 	e.met.noteScheduled(len(e.queue))
 }
@@ -279,12 +256,8 @@ func (e *Engine) Run() {
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	if e.nshards > 1 {
-		e.runSharded()
-	} else {
-		for len(e.queue) > 0 {
-			e.fire(e.queue.pop())
-		}
+	for len(e.queue) > 0 {
+		e.fire(e.queue.pop())
 	}
 	e.drainPool()
 	if len(e.live) > 0 {
@@ -311,13 +284,6 @@ func (e *Engine) RunUntil(deadline units.Duration) bool {
 	e.limited = true
 	e.limit = deadline
 	defer func() { e.running = false; e.limited = false }()
-	if e.nshards > 1 {
-		if e.runUntilSharded(deadline) {
-			return true
-		}
-		e.drainPool()
-		return false
-	}
 	for len(e.queue) > 0 {
 		if e.queue[0].at > deadline {
 			return true
@@ -343,12 +309,5 @@ func (e *Engine) drainPool() {
 
 // Pending reports how many events are queued.
 func (e *Engine) Pending() int {
-	if e.nshards > 1 {
-		n := 0
-		for i := range e.shardQ {
-			n += len(e.shardQ[i])
-		}
-		return n
-	}
 	return len(e.queue)
 }

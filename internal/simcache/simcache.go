@@ -160,17 +160,18 @@ var (
 
 	// Occupancy gauges: a dashboard reading /metrics can tell "evictions
 	// because the working set exceeds the cap" from "cache barely used"
-	// without calling Len/Capacity in-process.
+	// without calling Len in-process.
 	gSize     = obs.Default().Gauge("simcache/size")
 	gCapacity = obs.Default().Gauge("simcache/capacity")
 )
 
 func init() { gCapacity.Set(int64(capacity)) }
 
-// SetCapacity changes the entry cap and evicts down to it immediately.
+// setCapacity changes the entry cap and evicts down to it immediately.
 // A non-positive capacity is rejected: an unbounded cache is spelled
-// `SetCapacity(math.MaxInt)`, not zero.
-func SetCapacity(n int) {
+// `setCapacity(math.MaxInt)`, not zero. Tests only: the shipped cap is
+// DefaultCapacity.
+func setCapacity(n int) {
 	if n <= 0 {
 		panic(fmt.Sprintf("simcache: capacity %d", n))
 	}
@@ -181,13 +182,6 @@ func SetCapacity(n int) {
 	gSize.Set(int64(len(entries)))
 	mu.Unlock()
 	cEvictions.Add(evicted)
-}
-
-// Capacity reports the current entry cap.
-func Capacity() int {
-	mu.Lock()
-	defer mu.Unlock()
-	return capacity
 }
 
 // evictLocked drops least-recently-used completed entries until the cache

@@ -261,8 +261,8 @@ func sizedParams(i int) ior.Params {
 // hot tail still hits.
 func TestLRUEvictsColdest(t *testing.T) {
 	Reset()
-	SetCapacity(3)
-	defer func() { SetCapacity(DefaultCapacity); Reset() }()
+	setCapacity(3)
+	defer func() { setCapacity(DefaultCapacity); Reset() }()
 	spec := cluster.ConfigA()
 	for i := 0; i < 4; i++ {
 		RunIOR(spec, sizedParams(i))
@@ -289,8 +289,8 @@ func TestLRUEvictsColdest(t *testing.T) {
 // the eviction victim.
 func TestLRUTouchOnHit(t *testing.T) {
 	Reset()
-	SetCapacity(2)
-	defer func() { SetCapacity(DefaultCapacity); Reset() }()
+	setCapacity(2)
+	defer func() { setCapacity(DefaultCapacity); Reset() }()
 	spec := cluster.ConfigA()
 	RunIOR(spec, sizedParams(0))
 	RunIOR(spec, sizedParams(1))
@@ -308,16 +308,16 @@ func TestLRUTouchOnHit(t *testing.T) {
 	}
 }
 
-// SetCapacity evicts down immediately and rejects non-positive caps.
+// setCapacity evicts down immediately and rejects non-positive caps.
 func TestSetCapacityImmediateAndValidated(t *testing.T) {
 	Reset()
-	SetCapacity(DefaultCapacity)
-	defer func() { SetCapacity(DefaultCapacity); Reset() }()
+	setCapacity(DefaultCapacity)
+	defer func() { setCapacity(DefaultCapacity); Reset() }()
 	spec := cluster.ConfigA()
 	for i := 0; i < 5; i++ {
 		RunIOR(spec, sizedParams(i))
 	}
-	SetCapacity(2)
+	setCapacity(2)
 	if got := Len(); got != 2 {
 		t.Fatalf("Len after shrink = %d, want 2", got)
 	}
@@ -326,18 +326,18 @@ func TestSetCapacityImmediateAndValidated(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("SetCapacity(0): no panic")
+			t.Error("setCapacity(0): no panic")
 		}
 	}()
-	SetCapacity(0)
+	setCapacity(0)
 }
 
 // In-flight entries — claimed but not yet computed — are never eviction
 // victims: dropping one would orphan its running simulation.
 func TestLRUNeverEvictsInFlight(t *testing.T) {
 	Reset()
-	SetCapacity(1)
-	defer func() { SetCapacity(DefaultCapacity); Reset() }()
+	setCapacity(1)
+	defer func() { setCapacity(DefaultCapacity); Reset() }()
 	inflight := lookup("inflight-key") // claimed, done never set
 	for i := 0; i < 3; i++ {
 		RunIOR(cluster.ConfigA(), sizedParams(i)) // each insert overflows the cap
@@ -352,22 +352,25 @@ func TestLRUNeverEvictsInFlight(t *testing.T) {
 	inflight.done.Store(true)
 }
 
-// Occupancy gauges mirror Len/Capacity on the obs default registry, so a
+// Occupancy gauges mirror Len and the entry cap on the obs default registry, so a
 // dashboard scraping /metrics can tell a saturated cache from an idle one
 // without in-process calls. They must track inserts, capacity changes, and
 // Reset, and show up in both exposition formats.
 func TestOccupancyGaugesTrackCache(t *testing.T) {
 	Reset()
 	defer func() {
-		SetCapacity(DefaultCapacity)
+		setCapacity(DefaultCapacity)
 		Reset()
 	}()
 	reg := obs.Default()
 	if got := reg.Gauge("simcache/size").Value(); got != 0 {
 		t.Fatalf("size gauge after Reset: %d", got)
 	}
-	if got := reg.Gauge("simcache/capacity").Value(); got != int64(Capacity()) {
-		t.Fatalf("capacity gauge %d != Capacity() %d", got, Capacity())
+	mu.Lock()
+	want := capacity
+	mu.Unlock()
+	if got := reg.Gauge("simcache/capacity").Value(); got != int64(want) {
+		t.Fatalf("capacity gauge %d != capacity %d", got, want)
 	}
 
 	RunIOR(cluster.ConfigB(), testParams())
@@ -375,9 +378,9 @@ func TestOccupancyGaugesTrackCache(t *testing.T) {
 		t.Fatalf("size gauge %d, Len() %d, want 1", got, Len())
 	}
 
-	SetCapacity(2)
+	setCapacity(2)
 	if got := reg.Gauge("simcache/capacity").Value(); got != 2 {
-		t.Fatalf("capacity gauge after SetCapacity(2): %d", got)
+		t.Fatalf("capacity gauge after setCapacity(2): %d", got)
 	}
 
 	var text bytes.Buffer

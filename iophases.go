@@ -439,15 +439,6 @@ func ParseFastPath(s string) (FastPathMode, error) { return fastpath.ParseMode(s
 // bailing out mid-walk (bailouts).
 func FastPathStats() (hits, bailouts int64) { return fastpath.Stats() }
 
-// SetShards sets the event-queue shard count for subsequently built
-// simulations (the -shards CLI flag): each engine's queue is partitioned by
-// node affinity with a conservative network-latency lookahead. Results are
-// bit-identical at any shard count; n must be >= 1.
-func SetShards(n int) { cluster.SetShards(n) }
-
-// Shards reports the configured event-queue shard count.
-func Shards() int { return cluster.Shards() }
-
 // MeasuredBandwidth reports a phase's BW_MD from its traced time.
 func MeasuredBandwidth(pm *PhaseModel) Bandwidth {
 	return units.BandwidthOf(pm.Weight, units.FromSeconds(pm.MeasuredSec))
