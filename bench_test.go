@@ -755,20 +755,19 @@ func contentionFreeVariants(base cluster.Spec) []predict.Variant {
 	return out
 }
 
-// fastPathExploreBench runs a contention-free what-if sweep over the
-// single-rank model with the given fast-path mode. The simulation cache is
-// reset every iteration so the benchmark prices simulations, not
-// memoization — the pair (DES vs FastPath) isolates the analytic tier's
-// raw speedup on Explore-style workloads.
-func fastPathExploreBench(b *testing.B, mode fastpath.Mode) {
+// BenchmarkExploreNP1FastPath runs a contention-free what-if sweep over the
+// single-rank model, where admission sends every replay to the analytic
+// fast path. The simulation cache is reset every iteration so the
+// benchmark prices simulations, not memoization. The DES cost of
+// single-rank runs stays visible in BenchmarkIORCharzNP1DES.
+func BenchmarkExploreNP1FastPath(b *testing.B) {
 	m := benchNP1Model(b)
 	variants := contentionFreeVariants(cluster.ConfigA())
-	opts := predict.EstimateOptions{FastPath: mode}
 	hits0, _ := fastpath.Stats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		simcache.Reset()
-		if _, err := predict.ExploreOpts(m, variants, opts); err != nil {
+		if _, err := predict.Explore(m, variants); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -776,15 +775,6 @@ func fastPathExploreBench(b *testing.B, mode fastpath.Mode) {
 	hits, _ := fastpath.Stats()
 	b.ReportMetric(float64(hits-hits0)/float64(b.N), "fp-hits/op")
 }
-
-// BenchmarkExploreNP1DES is the what-if sweep priced entirely by the
-// discrete-event simulator (fast path off) — the pre-fast-path baseline.
-func BenchmarkExploreNP1DES(b *testing.B) { fastPathExploreBench(b, fastpath.ModeOff) }
-
-// BenchmarkExploreNP1FastPath is the same sweep with contention-free
-// replays priced analytically. ns/op here versus BenchmarkExploreNP1DES is
-// the raw-speed tier's win on its target workload class.
-func BenchmarkExploreNP1FastPath(b *testing.B) { fastPathExploreBench(b, fastpath.ModeOn) }
 
 // charzNP1Cases is a Table III-style single-rank characterization slice:
 // transfer sizes swept at a fixed block size, write+read with fsync.

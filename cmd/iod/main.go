@@ -54,14 +54,13 @@ func main() {
 	inflight := flag.Int("inflight", 0, "max concurrent query computations (0 = 2*GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "max queued query computations before 503 (0 = 1024)")
 	jobs := flag.Int("j", 0, "sweep worker pool size per computation (0 = GOMAXPROCS)")
-	fastpathFlag := flag.String("fastpath", "on", "analytic fast path for contention-free simulations: off, on, or verify")
 	accessLog := flag.String("access-log", "-", "JSON access-log destination: '-' = stdout, '' = disabled, else a file path (appended)")
 	pprofFlag := flag.Bool("pprof", false, "expose /debug/pprof/ runtime profiling endpoints")
 	timeline := flag.String("timeline", "", "record per-request wall-clock spans and write a Chrome trace_event timeline here at shutdown")
 	flag.Parse()
 
 	if err := run(*addr, *models, *builtin, *builtinNP, *warm, *inflight, *queue,
-		*jobs, *fastpathFlag, *accessLog, *pprofFlag, *timeline); err != nil {
+		*jobs, *accessLog, *pprofFlag, *timeline); err != nil {
 		fmt.Fprintf(os.Stderr, "iod: %v\n", err)
 		os.Exit(1)
 	}
@@ -78,13 +77,7 @@ func newHTTPServer(addr string, handler http.Handler) *http.Server {
 }
 
 func run(addr, models string, builtin bool, builtinNP int, warm bool,
-	inflight, queue, jobs int, fastpathFlag string,
-	accessLog string, pprofFlag bool, timeline string) error {
-	fpMode, err := iophases.ParseFastPath(fastpathFlag)
-	if err != nil {
-		return err
-	}
-	iophases.SetFastPath(fpMode)
+	inflight, queue, jobs int, accessLog string, pprofFlag bool, timeline string) error {
 	sweep.SetConcurrency(jobs)
 	// The /metrics endpoint reads the always-on default registry; the hot
 	// simulation registry and the timeline recorder stay off unless span
@@ -112,15 +105,14 @@ func run(addr, models string, builtin bool, builtinNP int, warm bool,
 		Corpus:      corpus,
 		Inflight:    inflight,
 		Queue:       queue,
-		FastPath:    fastpathFlag,
 		AccessLog:   logW,
 		EnablePprof: pprofFlag,
 	})
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "iod: serving %d model(s) [%s] on http://%s (fastpath=%s, pprof=%v)\n",
-		len(corpus), strings.Join(srv.ModelNames(), ", "), addr, fastpathFlag, pprofFlag)
+	fmt.Fprintf(os.Stderr, "iod: serving %d model(s) [%s] on http://%s (pprof=%v)\n",
+		len(corpus), strings.Join(srv.ModelNames(), ", "), addr, pprofFlag)
 
 	hs := newHTTPServer(addr, srv.Handler())
 

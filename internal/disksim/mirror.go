@@ -11,7 +11,7 @@ import "iophases/internal/units"
 // the very functions the device calls (HeadClock.serviceTime, stripeSplit,
 // raid5Parts, dirtySet.add/gather, recentIndex), so a formula change in the
 // device is automatically a formula change in the mirror. Divergence is a
-// bug; predict's FastPath=verify mode runs both and panics on any.
+// bug; the fastpath and replay tests cross-check the two on every preset.
 
 // HeadClock is the stateful service-time model of one disk spindle: head
 // position (sequential vs seek), read/write turnaround, per-request

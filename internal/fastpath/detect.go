@@ -8,11 +8,6 @@ import (
 	"iophases/internal/ior"
 )
 
-// admissionVersion tags the static decision rule. Bump it whenever the
-// admissibility predicate changes so simcache fingerprints that fold the
-// decision never alias across rule revisions.
-const admissionVersion = "v1"
-
 // specReason reports why a cluster spec is statically inadmissible, or ""
 // when a single-rank workload on it is contention-free. The build-validity
 // checks mirror the panics of cluster.Build and the device constructors: a
@@ -83,16 +78,4 @@ func admitReplay(spec cluster.Spec, m *core.Model, pm *core.PhaseModel) string {
 		return "collective"
 	}
 	return ""
-}
-
-// DecisionTag is the pure, mode-independent summary of the static
-// admission decision for an IOR run: "v1:ok" when admissible, "v1:<reason>"
-// otherwise. simcache folds it into result fingerprints so cache entries
-// stay keyed to the decision rule in force, never to the mode a result was
-// computed under.
-func DecisionTag(spec cluster.Spec, p ior.Params) string {
-	if r := admitIOR(spec, p); r != "" {
-		return admissionVersion + ":" + r
-	}
-	return admissionVersion + ":ok"
 }

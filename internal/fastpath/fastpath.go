@@ -15,8 +15,9 @@
 // situation whose event interleaving it cannot reproduce bit-exactly — a
 // virtual-time tie with the flusher, a cache-pressure stall, a read racing
 // a flush — it bails out and the caller falls back to the full DES.
-// ModeVerify runs both and panics on any divergence; the corpus tests in
-// fastpath_test.go compare against the DES for every built-in
+// Admission alone selects the path. The tests cross-check the two —
+// fastpath_test.go for IOR runs, the replay package's tests for phase
+// replays — over a corpus and generated inputs on every built-in
 // configuration.
 //
 // # Sanctioned cost seams
@@ -40,85 +41,7 @@
 // bit-exactly.
 package fastpath
 
-import (
-	"fmt"
-	"sync/atomic"
-
-	"iophases/internal/obs"
-)
-
-// Mode selects how callers use the fast path.
-type Mode int32
-
-const (
-	// ModeDefault resolves to the package-wide default at use time.
-	ModeDefault Mode = iota
-	// ModeOff always runs the full DES.
-	ModeOff
-	// ModeOn uses the analytic result when the workload is admissible,
-	// falling back to the DES otherwise.
-	ModeOn
-	// ModeVerify runs both paths and panics if the results differ in any
-	// field — the divergence tripwire CI runs the quick suite under.
-	ModeVerify
-)
-
-// defaultMode is the package-wide default consulted by ModeDefault. The
-// fast path is exact (verify-mode checked), so it is on by default.
-var defaultMode atomic.Int32
-
-func init() { defaultMode.Store(int32(ModeOn)) }
-
-// SetDefault installs the package-wide default mode. ModeDefault is not a
-// valid default (it would self-reference).
-func SetDefault(m Mode) {
-	if m == ModeDefault {
-		panic("fastpath: ModeDefault is not a valid default")
-	}
-	defaultMode.Store(int32(m))
-}
-
-// DefaultMode reports the package-wide default.
-func DefaultMode() Mode { return Mode(defaultMode.Load()) }
-
-// Resolve maps ModeDefault to the package default; other modes pass
-// through.
-func (m Mode) Resolve() Mode {
-	if m == ModeDefault {
-		return DefaultMode()
-	}
-	return m
-}
-
-// String implements fmt.Stringer.
-func (m Mode) String() string {
-	switch m {
-	case ModeDefault:
-		return "default"
-	case ModeOff:
-		return "off"
-	case ModeOn:
-		return "on"
-	case ModeVerify:
-		return "verify"
-	default:
-		return fmt.Sprintf("Mode(%d)", int32(m))
-	}
-}
-
-// ParseMode parses a CLI flag value ("off", "on", "verify").
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "off":
-		return ModeOff, nil
-	case "on":
-		return ModeOn, nil
-	case "verify":
-		return ModeVerify, nil
-	default:
-		return ModeDefault, fmt.Errorf("fastpath: mode %q (want off|on|verify)", s)
-	}
-}
+import "iophases/internal/obs"
 
 // Counters live on the default registry (not the Hot gate) so hits and
 // bailouts are observable without enabling run telemetry — the quick-suite

@@ -10,7 +10,7 @@ import (
 // is inadmissible or the walk hit a dynamic bailout; the caller must then
 // run the full DES. When ok, the Result is bit-identical to ior.Run's —
 // every field, including the Params echo with the default file name filled
-// in — which ModeVerify asserts.
+// in — which the package's DES cross-check tests assert.
 func RunIOR(spec cluster.Spec, p ior.Params) (ior.Result, bool) {
 	if admitIOR(spec, p) != "" {
 		cBailouts.Inc()

@@ -39,8 +39,8 @@ func Explore(m *core.Model, variants []Variant) ([]ExploreResult, error) {
 	return ExploreOpts(m, variants, EstimateOptions{})
 }
 
-// ExploreOpts is Explore with explicit estimation options (fast-path mode,
-// faithful mixed-phase characterization).
+// ExploreOpts is Explore with explicit estimation options (faithful
+// mixed-phase characterization).
 func ExploreOpts(m *core.Model, variants []Variant, opts EstimateOptions) ([]ExploreResult, error) {
 	type exploreRes struct {
 		r   ExploreResult

@@ -12,7 +12,6 @@ import (
 
 	"iophases/internal/cluster"
 	"iophases/internal/core"
-	"iophases/internal/fastpath"
 	"iophases/internal/ior"
 	"iophases/internal/obs"
 	"iophases/internal/replay"
@@ -51,12 +50,6 @@ type EstimateOptions struct {
 	// write and read passes — the improvement the paper's §V proposes
 	// to cut the ≈50% error on complex phases.
 	FaithfulMixed bool
-	// FastPath selects how contention-free phase replays are priced:
-	// ModeOff always simulates, ModeOn answers admissible replays in
-	// closed form (bit-identical by construction), ModeVerify runs both
-	// and panics on any divergence. The zero value defers to the
-	// fastpath package default.
-	FastPath fastpath.Mode
 }
 
 // EstimateTime replays every phase of the model on the target
@@ -118,10 +111,10 @@ func EstimateTimeOpts(m *core.Model, spec cluster.Spec, opts EstimateOptions) (*
 	}
 	bws := sweep.Map(jobs, func(_ int, j job) bwRes {
 		if j.faithful {
-			r, err := replay.PhaseMode(spec, m, j.pm, opts.FastPath)
+			r, err := replay.Phase(spec, m, j.pm)
 			return bwRes{r.BW, err}
 		}
-		return bwRes{runReplay(spec, j.rs, opts.FastPath), nil}
+		return bwRes{runReplay(spec, j.rs), nil}
 	})
 	for _, b := range bws {
 		if b.err != nil {
@@ -186,9 +179,9 @@ func recordTelemetry(m *core.Model, config string, est *Estimate) {
 // content-addressed simcache: an identical (spec, params) replay anywhere
 // in the process — another variant of a sweep, another table of the
 // experiment suite — returns the stored result without simulating.
-func runReplay(spec cluster.Spec, rs core.ReplaySpec, mode fastpath.Mode) units.Bandwidth {
+func runReplay(spec cluster.Spec, rs core.ReplaySpec) units.Bandwidth {
 	p := ior.FromReplay(rs)
-	res := simcache.RunIORMode(spec, p, mode)
+	res := simcache.RunIOR(spec, p)
 	switch rs.Direction {
 	case core.Write:
 		return res.WriteBW

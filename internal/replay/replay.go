@@ -35,39 +35,22 @@ type Result struct {
 }
 
 // Phase replays pm (a phase of model m) on a freshly built configuration
-// and reports the characterized bandwidth, under the package-default
-// fast-path mode. A model whose phase needs more ranks than the
-// configuration has cores is a usage error, reported as an error rather
-// than a panic so CLIs can print a diagnostic and exit.
+// and reports the characterized bandwidth. Contention-free phases (one
+// rank, one storage target, no faults) are priced in closed form by the
+// analytic fast path when it admits them, and simulated otherwise. A model
+// whose phase needs more ranks than the configuration has cores is a usage
+// error, reported as an error rather than a panic so CLIs can print a
+// diagnostic and exit.
 func Phase(spec cluster.Spec, m *core.Model, pm *core.PhaseModel) (Result, error) {
-	return PhaseMode(spec, m, pm, fastpath.ModeDefault)
-}
-
-// PhaseMode is Phase with an explicit fast-path mode: contention-free
-// phases (one rank, one storage target, no faults) can be priced in closed
-// form instead of simulated; ModeVerify runs both and panics if the busy
-// times differ by even a nanosecond.
-func PhaseMode(spec cluster.Spec, m *core.Model, pm *core.PhaseModel, mode fastpath.Mode) (Result, error) {
 	if pm.NP > spec.MaxProcs() {
 		return Result{}, fmt.Errorf("replay: %d ranks exceed %s capacity %d (use a larger configuration or a smaller model)",
 			pm.NP, spec.Name, spec.MaxProcs())
 	}
-	switch mode.Resolve() {
-	case fastpath.ModeOn:
-		if elapsed, ok := fastpath.ReplayPhase(spec, m, pm); ok {
-			return finishPhase(spec, m, pm, elapsed), nil
-		}
-	case fastpath.ModeVerify:
-		if elapsed, ok := fastpath.ReplayPhase(spec, m, pm); ok {
-			des := phaseBusy(spec, m, pm)
-			if des != elapsed {
-				panic(fmt.Sprintf("fastpath: replay divergence on %s phase %d: fast %v des %v",
-					spec.Name, pm.ID, elapsed, des))
-			}
-			return finishPhase(spec, m, pm, des), nil
-		}
+	elapsed, ok := fastpath.ReplayPhase(spec, m, pm)
+	if !ok {
+		elapsed = phaseBusy(spec, m, pm)
 	}
-	return finishPhase(spec, m, pm, phaseBusy(spec, m, pm)), nil
+	return finishPhase(spec, m, pm, elapsed), nil
 }
 
 // phaseBusy runs the full DES replay and reports the maximum per-rank I/O

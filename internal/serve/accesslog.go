@@ -23,7 +23,7 @@ type AccessEntry struct {
 	FP        string `json:"fp,omitempty"`        // query fingerprint (first 16 hex of SHA-256)
 	Cache     string `json:"cache,omitempty"`     // "hit" (served from the response cache) or "miss"
 	Coalesced bool   `json:"coalesced,omitempty"` // rode another request's in-flight computation
-	Fastpath  string `json:"fastpath,omitempty"`  // the server's analytic fast-path mode
+	Fastpath  string `json:"fastpath,omitempty"`  // Options.FastPath, a caller-set label
 	QueueUS   int64  `json:"queue_us,omitempty"`  // admission wait, microseconds
 	Err       string `json:"err,omitempty"`       // error body summary for non-2xx
 }

@@ -73,9 +73,9 @@ type Options struct {
 	// Queue bounds waiting leaders; beyond it requests get 503. 0 selects
 	// 1024; negative means no waiting.
 	Queue int
-	// FastPath labels the process-wide analytic fast-path mode in the
-	// access log ("off", "on", "verify"); it does not change the mode —
-	// cmd/iod sets that globally before building the server.
+	// FastPath is a free-form label echoed in each access-log line's
+	// fastpath field. It selects nothing: fast-path admission alone
+	// decides how each simulation is priced.
 	FastPath string
 	// AccessLog receives one JSON line per request; nil disables.
 	AccessLog io.Writer

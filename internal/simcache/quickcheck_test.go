@@ -45,9 +45,8 @@ var cosmeticFields = map[reflect.Type]map[string]bool{
 // declaration above. Adding a field to a skip map without updating the
 // declaration — the stale-cache bug class — fails here before the walker
 // even runs. TraceRun is the one entry with no walker counterpart: traced
-// runs bypass the cache before any fingerprint is computed (and the
-// admission tag legitimately reads the flag), so its cosmetic claim is
-// asserted by TestTraceRunBypassesFingerprinting instead.
+// runs bypass the cache before any fingerprint is computed, so its
+// cosmetic claim is asserted by TestTraceRunBypassesFingerprinting instead.
 func TestSkipMapsMatchDeclaredCosmetic(t *testing.T) {
 	wantIOR := map[string]bool{"FileName": true, "TraceRun": true}
 	if !reflect.DeepEqual(specSkip, cosmeticFields[reflect.TypeOf(cluster.Spec{})]) {
@@ -305,27 +304,15 @@ func TestFingerprintCoversClusterSpec(t *testing.T) {
 
 // TestTraceRunBypassesFingerprinting pins why TraceRun may sit in iorSkip
 // without a walker case: a traced run never reaches the cache lookup, so
-// its fingerprint is never computed for keying. The encoded portion of the
-// canonical form must still ignore the flag (the skip map's actual claim);
-// only the trailing admission tag may read it.
+// its fingerprint is never computed for keying. The canonical form must
+// still ignore the flag — the skip map's actual claim.
 func TestTraceRunBypassesFingerprinting(t *testing.T) {
 	spec := cluster.ConfigA()
 	p := testParams()
 	traced := p
 	traced.TraceRun = true
-	a, b := Canonical(spec, p), Canonical(spec, traced)
-	cut := func(s string) string {
-		i := len(s) - len("|fp=")
-		for i >= 0 && s[i:i+4] != "|fp=" {
-			i--
-		}
-		if i < 0 {
-			t.Fatalf("canonical form lost its |fp= admission tag: %q", s)
-		}
-		return s[:i]
-	}
-	if cut(a) != cut(b) {
-		t.Errorf("encoded portion of Canonical depends on TraceRun:\n  %s\n  %s", a, b)
+	if a, b := Canonical(spec, p), Canonical(spec, traced); a != b {
+		t.Errorf("Canonical depends on TraceRun:\n  %s\n  %s", a, b)
 	}
 }
 
@@ -340,8 +327,8 @@ func coexecBase() coexec.Spec {
 				Files: []trace.FileMeta{{ID: 0, Name: "btio.out", AccessType: "shared"}},
 				Phases: []*core.PhaseModel{{
 					ID: 1, File: 0,
-					Ops:    []core.OpModel{{Op: trace.Op("write_at"), Size: units.MiB, Disp: units.MiB}},
-					Rep:    3, NP: 1, Weight: units.MiB, Tick: 1,
+					Ops: []core.OpModel{{Op: trace.Op("write_at"), Size: units.MiB, Disp: units.MiB}},
+					Rep: 3, NP: 1, Weight: units.MiB, Tick: 1,
 					OffsetC: 4096, OffsetOK: true, OffsetExpr: "c",
 					MeasuredSec: 0.25, StartSec: 1.0,
 				}},

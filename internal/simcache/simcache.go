@@ -52,21 +52,13 @@ var specSkip = map[string]bool{"Name": true, "Description": true}
 var iorSkip = map[string]bool{"FileName": true, "TraceRun": true}
 
 // Canonical renders the physically relevant content of (spec, p) as a
-// deterministic string. The fast-path admission decision is folded in as a
-// trailing tag: it is a pure function of (spec, p) — never of the execution
-// mode — so entries stay mode-independent (a result cached with the fast
-// path off is reused with it on, and vice versa, which is sound because
-// verify mode pins the two paths to bit-identical results), yet a revision
-// of the admission rule re-keys the cache instead of aliasing entries
-// across rule versions. Exported for key-canonicalization tests.
+// deterministic string. Exported for key-canonicalization tests.
 func Canonical(spec cluster.Spec, p ior.Params) string {
 	var b strings.Builder
 	b.WriteString("ior/")
 	encodeValue(&b, reflect.ValueOf(spec), specSkip)
 	b.WriteByte('|')
 	encodeValue(&b, reflect.ValueOf(p), iorSkip)
-	b.WriteString("|fp=")
-	b.WriteString(fastpath.DecisionTag(spec, p))
 	return b.String()
 }
 
@@ -234,50 +226,26 @@ func lookup(key string) *entry {
 	return e
 }
 
-// RunIOR is a memoized ior.Run under the package-default fast-path mode: a
-// cache hit skips both the cluster build and the whole discrete-event
-// simulation. Traced runs are never cached.
+// RunIOR is a memoized ior.Run: a cache hit skips both the cluster build
+// and the whole discrete-event simulation. A miss is priced by the
+// analytic fast path when it admits the run and by the DES otherwise; the
+// two give bit-identical Results, so the key need not say which answered.
+// Traced runs are never cached.
 func RunIOR(spec cluster.Spec, p ior.Params) ior.Result {
-	return RunIORMode(spec, p, fastpath.ModeDefault)
-}
-
-// RunIORMode is RunIOR with an explicit fast-path mode. The mode selects
-// how a missing result is computed — it is not part of the key, which is
-// sound because every mode yields the bit-identical Result (ModeVerify
-// enforces exactly that by running both paths and panicking on any
-// difference).
-func RunIORMode(spec cluster.Spec, p ior.Params, mode fastpath.Mode) ior.Result {
 	if p.TraceRun {
 		cBypass.Inc()
 		return ior.Run(spec, p)
 	}
 	e := lookup(Fingerprint(spec, p))
 	e.once.Do(func() {
-		e.res = computeIOR(spec, p, mode)
+		res, ok := fastpath.RunIOR(spec, p)
+		if !ok {
+			res = ior.Run(spec, p)
+		}
+		e.res = res
 		e.done.Store(true)
 	})
 	return e.res.(ior.Result)
-}
-
-// computeIOR resolves the mode and runs the fast path, the DES, or both.
-func computeIOR(spec cluster.Spec, p ior.Params, mode fastpath.Mode) ior.Result {
-	switch mode.Resolve() {
-	case fastpath.ModeOn:
-		if res, ok := fastpath.RunIOR(spec, p); ok {
-			return res
-		}
-		return ior.Run(spec, p)
-	case fastpath.ModeVerify:
-		fast, ok := fastpath.RunIOR(spec, p)
-		des := ior.Run(spec, p)
-		if ok && !reflect.DeepEqual(fast, des) {
-			panic(fmt.Sprintf("fastpath: divergence on %s %+v:\n fast %+v\n  des %+v",
-				spec.Name, p, fast, des))
-		}
-		return des
-	default:
-		return ior.Run(spec, p)
-	}
 }
 
 // coexecModelSkip are core.Model fields with no physical effect on a

@@ -186,7 +186,8 @@ func (s *Set) Save(dir string) error {
 	return nil
 }
 
-// loadMeta reads and decodes dir's meta.json sidecar.
+// loadMeta reads, decodes and validates dir's meta.json sidecar. A rank
+// count below one is rejected here, before OpenDir sizes anything by it.
 func loadMeta(dir string) (setHeader, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, "meta.json"))
 	if err != nil {
@@ -195,6 +196,9 @@ func loadMeta(dir string) (setHeader, error) {
 	var hdr setHeader
 	if err := json.Unmarshal(raw, &hdr); err != nil {
 		return setHeader{}, fmt.Errorf("trace: meta.json: %v", err)
+	}
+	if hdr.NP < 1 {
+		return setHeader{}, fmt.Errorf("trace: meta.json: np=%d (want at least 1)", hdr.NP)
 	}
 	return hdr, nil
 }

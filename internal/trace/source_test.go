@@ -2,6 +2,7 @@ package trace
 
 import (
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -41,6 +42,41 @@ func TestOpenDirMissingRankFile(t *testing.T) {
 	}
 	if _, err := OpenDir(dir); err == nil {
 		t.Fatal("missing rank file accepted")
+	}
+}
+
+// TestOpenDirValidatesMeta feeds hand-edited meta.json sidecars to both
+// loaders: a non-positive rank count must be an error, never a panic
+// (makeslice) or an empty model.
+func TestOpenDirValidatesMeta(t *testing.T) {
+	for _, tc := range []struct {
+		name, meta string
+		ok         bool
+	}{
+		{"np=-1", `{"app":"madbench2","config":"c","np":-1}`, false},
+		{"np=0", `{"app":"madbench2","config":"c","np":0}`, false},
+		{"np missing", `{"app":"madbench2","config":"c"}`, false},
+		{"np=1", `{"app":"madbench2","config":"c","np":1}`, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "meta.json"), []byte(tc.meta), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if tc.ok {
+				if err := os.WriteFile(rankPath(dir, 0, FormatText), nil, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, openErr := OpenDir(dir)
+			_, loadErr := Load(dir)
+			if tc.ok && (openErr != nil || loadErr != nil) {
+				t.Fatalf("valid meta rejected: OpenDir %v, Load %v", openErr, loadErr)
+			}
+			if !tc.ok && (openErr == nil || loadErr == nil) {
+				t.Fatalf("invalid meta accepted: OpenDir %v, Load %v", openErr, loadErr)
+			}
+		})
 	}
 }
 

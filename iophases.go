@@ -33,13 +33,13 @@ import (
 	"iophases/internal/fastpath"
 	"iophases/internal/faults"
 	"iophases/internal/ior"
-	"iophases/internal/simcache"
 	"iophases/internal/iozone"
 	"iophases/internal/mpi"
 	"iophases/internal/mpiio"
 	"iophases/internal/predict"
 	"iophases/internal/runner"
 	"iophases/internal/schedule"
+	"iophases/internal/simcache"
 	"iophases/internal/trace"
 	"iophases/internal/units"
 )
@@ -408,31 +408,12 @@ func Characterize(cfg Config, opts CharzOptions) *CharzReport {
 }
 
 // RunIOR executes the IOR replica on the configuration, through the
-// simulation cache: repeated identical replays return memoized results, and
-// contention-free runs (one rank, one storage target, no faults) are priced
-// by the analytic fast path under the package-default FastPathMode. Traced
-// runs always execute the full simulation.
+// simulation cache: repeated identical replays return memoized results.
+// Contention-free runs (one rank, one storage target, no faults) are
+// priced by the analytic fast path whenever it admits them, with a
+// bit-identical Result; all others, and traced runs, execute the full
+// simulation.
 func RunIOR(cfg Config, p IORParams) IORResult { return simcache.RunIOR(cfg, p) }
-
-// FastPathMode selects how contention-free simulations are priced: off
-// (always run the DES), on (closed-form when provably equivalent), or
-// verify (run both, panic on any divergence).
-type FastPathMode = fastpath.Mode
-
-// Fast-path modes. ModeDefault resolves to the package default (on).
-const (
-	FastPathDefault = fastpath.ModeDefault
-	FastPathOff     = fastpath.ModeOff
-	FastPathOn      = fastpath.ModeOn
-	FastPathVerify  = fastpath.ModeVerify
-)
-
-// SetFastPath changes the package-default fast-path mode (the -fastpath
-// CLI flag).
-func SetFastPath(m FastPathMode) { fastpath.SetDefault(m) }
-
-// ParseFastPath parses a -fastpath flag value: "off", "on", or "verify".
-func ParseFastPath(s string) (FastPathMode, error) { return fastpath.ParseMode(s) }
 
 // FastPathStats reports how many simulations the analytic fast path served
 // (hits) and how many fell back to the full DES after failing admission or
